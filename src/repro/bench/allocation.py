@@ -1,9 +1,10 @@
 """Allocation accounting for the train-step hot path.
 
-:func:`measure_train_step` drives one full forward + backward +
-optimizer step at layer granularity under :mod:`tracemalloc`,
-snapshotting NumPy's allocation domain at every layer boundary and
-summing the array allocations each phase left behind.  Because the
+:func:`measure_train_step` drives one train step — forward, the
+backward calls ``Model.loss_and_grad`` makes, optimizer step — at
+layer granularity under :mod:`tracemalloc`, snapshotting NumPy's
+allocation domain at every layer boundary and summing the array
+allocations each phase left behind.  Because the
 driver holds a reference to every layer output and input gradient
 until the step completes, each batch-sized buffer a layer allocates is
 still live at its boundary snapshot and gets counted; arena-backed
@@ -108,8 +109,9 @@ def measure_train_step(model: Model, x: np.ndarray, y: np.ndarray,
         boundary(loss.forward(activation, y))
         grad = loss.backward()
         boundary(grad)
-        for layer in reversed(model.layers):
-            grad = layer.backward(grad, workspace=workspace)
+        # the calls training's Model.backward makes (no input gradient)
+        for layer, kwargs in model.backward_plan(input_grad=False):
+            grad = layer.backward(grad, workspace=workspace, **kwargs)
             boundary(grad)
         step()
         boundary(None)

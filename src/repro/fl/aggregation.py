@@ -17,7 +17,9 @@ Two reduction shapes coexist:
   statistics over the client axis: trimmed mean, coordinate median).
   Dense rules declare ``requires_dense = True`` and the batch enforces
   a configurable client cap (:data:`DENSE_CLIENT_CAP`) so nobody
-  accidentally materializes a fleet.
+  accidentally materializes a fleet.  Order statistics sort the matrix
+  one column chunk at a time (:func:`_sorted_mean`), so they never copy
+  it whole.
 
 Legacy nested ``Weights`` updates are accepted and bridged;
 :func:`fedavg_reference` retains the seed nested-dict implementation
@@ -53,6 +55,14 @@ from repro.nn.store import Layout, WeightsLike, WeightStore, as_store
 #: keeps each partial reduction's working set cache-resident; 64k
 #: float64 columns was the empirical sweet spot on CPU.
 REDUCE_CHUNK = 65536
+
+#: Column-chunk width for order statistics over the client axis
+#: (:func:`_sorted_mean`): a chunk of a few dozen clients stays
+#: cache-resident through its transpose, sort and mean.  At 40 clients
+#: x 226,340 params on a 2-vCPU Xeon the median takes 44 ms (255 ms
+#: for ``np.median``) and the trimmed mean 52 ms; wider chunks are no
+#: faster for the median and ~20% slower for the trimmed mean.
+ORDER_CHUNK = 1024
 
 #: Client rows the streaming accumulator stages before flushing a
 #: block through the chunked einsum.  Any cohort up to this size is
@@ -351,6 +361,65 @@ def scale_weights(weights: WeightsLike, factor: float) -> WeightsLike:
     return [{k: v * factor for k, v in layer.items()} for layer in weights]
 
 
+def _order_chunks(num_cols: int) -> list[tuple[int, int]]:
+    """Column ranges of :data:`ORDER_CHUNK` columns for
+    :func:`_sorted_mean`.
+
+    A lone trailing column joins the range before it: numpy reduces a
+    one-column block along its rows as a pairwise sum, not in the
+    row-by-row order it uses for a wider matrix.
+    """
+    bounds = [*range(0, num_cols, ORDER_CHUNK), num_cols]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _sorted_mean(matrix: np.ndarray, start: int, stop: int, *,
+                 propagate_nan: bool = False) -> np.ndarray:
+    """Per column: the mean of the sorted rows ``start:stop``.
+
+    Works on :data:`ORDER_CHUNK` columns at a time, so the temporaries
+    are two chunk-sized blocks.  Each chunk is transposed so every
+    column sorts in place as one contiguous row — the same sort kernel
+    ``np.sort(..., axis=0)`` runs on each gathered column — and the
+    sorted positions ``start:stop`` are laid out as rows again and
+    averaged row by row, as ``mean(axis=0)`` does on the whole matrix.
+    The result is bitwise equal to
+    ``np.sort(matrix, axis=0)[start:stop].mean(axis=0)``, up to the
+    payload of a NaN the mean makes from two NaNs.  NaNs sort last, so
+    they rank above every number.  With ``propagate_nan`` a column
+    holding a NaN instead yields ``np.median``'s result for it: the
+    sort writes NaNs back as the default quiet NaN, so those (rare)
+    columns are handed to ``np.median`` itself, which keeps the sign
+    and payload of the NaN it returns.
+    """
+    n, num_cols = matrix.shape
+    count = stop - start
+    out = np.empty(num_cols, dtype=matrix.dtype)
+    width = min(num_cols, ORDER_CHUNK + 1)
+    ranked_buf = np.empty(width * n, dtype=matrix.dtype)
+    middle_buf = np.empty(width * count, dtype=matrix.dtype)
+    for lo, hi in _order_chunks(num_cols):
+        ranked = ranked_buf[:(hi - lo) * n].reshape(hi - lo, n)
+        np.copyto(ranked, matrix[:, lo:hi].T)
+        ranked.sort(axis=1)
+        middle = middle_buf[:count * (hi - lo)].reshape(count, hi - lo)
+        np.copyto(middle, ranked[:, start:stop].T)
+        middle.mean(axis=0, out=out[lo:hi])
+        if propagate_nan:
+            nan_cols = lo + np.flatnonzero(np.isnan(ranked[:, -1]))
+            if len(nan_cols):
+                out[nan_cols] = np.median(matrix[:, nan_cols], axis=0)
+    return out
+
+
+def _median_rows(n: int) -> tuple[int, int]:
+    """The sorted-row slice whose mean is the median of ``n`` values."""
+    half = n // 2
+    return (half, half + 1) if n % 2 else (half - 1, half + 1)
+
+
 def trimmed_mean(updates: Updates, *, trim: int = 1) -> WeightStore:
     """Coordinate-wise mean after dropping the ``trim`` highest and
     lowest values (extension: Byzantine-robust aggregation)."""
@@ -358,14 +427,18 @@ def trimmed_mean(updates: Updates, *, trim: int = 1) -> WeightStore:
     n = len(matrix)
     if 2 * trim >= n:
         raise ValueError(f"trim={trim} removes all of {n} updates")
-    ranked = np.sort(matrix, axis=0)
-    return WeightStore(layout, ranked[trim:n - trim].mean(axis=0))
+    return WeightStore(layout, _sorted_mean(matrix, trim, n - trim))
 
 
 def coordinate_median(updates: Updates) -> WeightStore:
-    """Coordinate-wise median (extension: Byzantine-robust aggregation)."""
+    """Coordinate-wise median (extension: Byzantine-robust aggregation).
+
+    Bitwise ``np.median(matrix, axis=0)``, without its full copy.
+    """
     matrix, layout = _as_matrix(updates)
-    return WeightStore(layout, np.median(matrix, axis=0))
+    median = _sorted_mean(matrix, *_median_rows(len(matrix)),
+                          propagate_nan=True)
+    return WeightStore(layout, median)
 
 
 #: Minimum cohort for norm clustering to act; below this the distance
@@ -381,23 +454,34 @@ CLUSTER_SEPARATION = 2.0
 
 def _cluster_distances(matrix: np.ndarray,
                        include: np.ndarray | None = None) -> np.ndarray:
-    """Each row's L2 distance to the coordinate-median center, chunked
-    over columns so no ``(clients, params)`` temporary is allocated.
+    """Each row's L2 distance to the coordinate-median center.
+
+    Both the center (:func:`_sorted_mean`, :data:`ORDER_CHUNK` columns
+    at a time) and the distances (:data:`REDUCE_CHUNK` columns at a
+    time) are chunked over columns, so the temporaries are bounded
+    blocks and one ``(num_params,)`` center, never a
+    ``(clients, params)`` copy.  The center is the median with NaNs
+    ranked above every number: on NaN-free input it equals
+    ``np.median`` bitwise, and one row's NaN cannot make it NaN (which
+    would give every row a NaN distance).
 
     ``include`` is an optional boolean coordinate mask (segment-plane
     shape, ``(num_params,)``): False coordinates are excluded from the
     distance — how norm clustering ignores DINAR's obfuscated segment.
-    Masked coordinates are zeroed in place (not compressed away), so
-    every chunk keeps its shape and summation order and an all-True
-    mask reproduces the unmasked distances bitwise.
+    Masked coordinates are set to zero in place (not compressed away),
+    so every chunk keeps its shape and summation order and an all-True
+    mask reproduces the unmasked distances bitwise.  Setting (not
+    multiplying by the mask) keeps an ``inf`` or NaN hidden in a masked
+    coordinate out of the distance.
     """
-    center = np.median(matrix, axis=0)
+    center = _sorted_mean(matrix, *_median_rows(len(matrix)))
+    exclude = None if include is None else ~include
     sq = np.zeros(len(matrix))
     for lo in range(0, matrix.shape[1], REDUCE_CHUNK):
         hi = min(lo + REDUCE_CHUNK, matrix.shape[1])
         diff = matrix[:, lo:hi] - center[lo:hi]
-        if include is not None:
-            diff *= include[lo:hi]
+        if exclude is not None:
+            np.copyto(diff, 0.0, where=exclude[lo:hi])
         sq += np.einsum("ip,ip->i", diff, diff)
     return np.sqrt(sq)
 
@@ -409,10 +493,20 @@ def _norm_cluster_keep(dist: np.ndarray) -> np.ndarray:
     point; the computation depends only on the distance *multiset*, so
     the mask is client-permutation-equivariant.  The far cluster is
     dropped only when clearly separated (``CLUSTER_SEPARATION``);
-    otherwise everything is kept.
+    otherwise everything is kept.  A NaN distance (a NaN in a counted
+    coordinate) always lands in the far cluster and the rest are
+    clustered without it; only when every distance is NaN is
+    everything kept.
     """
     n = len(dist)
     keep_all = np.ones(n, dtype=bool)
+    valid = ~np.isnan(dist)
+    if not valid.all():
+        if not valid.any():
+            return keep_all
+        keep = valid.copy()
+        keep[valid] = _norm_cluster_keep(dist[valid])
+        return keep
     near, far = float(dist.min()), float(dist.max())
     if not far > CLUSTER_SEPARATION * near + 1e-12:
         return keep_all

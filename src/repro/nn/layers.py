@@ -4,7 +4,11 @@ Layers follow a minimal protocol: ``forward`` caches what ``backward``
 needs, ``backward`` returns the gradient w.r.t. the input and fills
 ``grads`` with gradients w.r.t. the layer's own ``params``.  ``buffers``
 hold non-trainable state (batch-norm running statistics) that still
-travels with the model in federated exchange.
+travels with the model in federated exchange.  Layers that declare
+:attr:`Layer.skips_input_grad` (Dense, Conv1d, Conv2d) also accept
+``backward(..., input_grad=False)``: fill ``grads``, skip the input
+gradient and return ``None`` — what training needs from a model's
+first trainable layer.
 
 Parameter-carrying layers are the unit of granularity for DINAR: the
 paper's "layer index p" maps to an index into a model's trainable layers,
@@ -57,6 +61,10 @@ class Layer:
     #: batch-sized scratch (often views into a process-local workspace
     #: arena) that is dead weight across a process or disk boundary.
     _ephemeral: tuple[str, ...] = ()
+
+    #: Whether ``backward`` accepts ``input_grad=False``: fill
+    #: :attr:`grads`, skip the input gradient and return ``None``.
+    skips_input_grad = False
 
     def __init__(self) -> None:
         self._params: dict[str, np.ndarray] = {}
@@ -220,6 +228,7 @@ class Dense(Layer):
     """Fully-connected layer: ``y = x @ W + b``."""
 
     _ephemeral = ("_x",)
+    skips_input_grad = True
 
     def __init__(self, in_features: int, out_features: int,
                  rng: np.random.Generator, *, scheme: str = "he",
@@ -249,13 +258,17 @@ class Dense(Layer):
         return out
 
     def backward(self, grad: np.ndarray, *,
-                 workspace: Workspace | None = None) -> np.ndarray:
+                 workspace: Workspace | None = None,
+                 input_grad: bool = True) -> np.ndarray | None:
         # after an eval-mode forward there is no cached input, so only
         # the input gradient is produced (all that e.g. the inversion
         # attack needs); weight gradients require a training forward.
         if self._x is not None:
             np.matmul(self._x.T, grad, out=self._grad_out("W"))
             grad.sum(axis=0, out=self._grad_out("b"))
+        if not input_grad:
+            self._x = None
+            return None
         w = self.params["W"]
         out = self._scratch(workspace, "dx", (len(grad), self.in_features),
                             np.result_type(grad.dtype, w.dtype))
@@ -335,6 +348,7 @@ class Conv2d(Layer):
     """2-D convolution via im2col (NCHW layout)."""
 
     _ephemeral = ("_cols", "_x_shape")
+    skips_input_grad = True
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  rng: np.random.Generator, *, stride: int = 1, padding: int = 0,
@@ -388,7 +402,8 @@ class Conv2d(Layer):
         return out.transpose(0, 3, 1, 2)
 
     def backward(self, grad: np.ndarray, *,
-                 workspace: Workspace | None = None) -> np.ndarray:
+                 workspace: Workspace | None = None,
+                 input_grad: bool = True) -> np.ndarray | None:
         k, s, p = self.kernel_size, self.stride, self.padding
         grad_flat = grad.transpose(0, 2, 3, 1)
         # no cached patches after an eval-mode forward: produce the
@@ -402,6 +417,9 @@ class Conv2d(Layer):
             np.matmul(grad2d.T, cols2d,
                       out=self._grad_out("W").reshape(self.out_channels, -1))
             grad2d.sum(axis=0, out=self._grad_out("b"))
+        if not input_grad:
+            self._cols = None
+            return None
         w_flat = self.params["W"].reshape(self.out_channels, -1)
         dcols = self._scratch(
             workspace, "dcols", grad_flat.shape[:3] + (w_flat.shape[1],),
@@ -422,6 +440,7 @@ class Conv1d(Layer):
     """1-D convolution (NCL layout) — used by the audio classifier."""
 
     _ephemeral = ("_cols", "_x_shape")
+    skips_input_grad = True
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  rng: np.random.Generator, *, stride: int = 1, padding: int = 0,
@@ -482,7 +501,8 @@ class Conv1d(Layer):
         return out[:, 0].transpose(0, 2, 1)
 
     def backward(self, grad: np.ndarray, *,
-                 workspace: Workspace | None = None) -> np.ndarray:
+                 workspace: Workspace | None = None,
+                 input_grad: bool = True) -> np.ndarray | None:
         k, s, p = self.kernel_size, self.stride, self.padding
         grad4 = grad.transpose(0, 2, 1)[:, None, :, :]  # (n,1,out_l,C_out)
         # no cached patches after an eval-mode forward: produce the
@@ -495,6 +515,9 @@ class Conv1d(Layer):
             np.matmul(grad2d.T, cols2d,
                       out=self._grad_out("W").reshape(self.out_channels, -1))
             grad2d.sum(axis=0, out=self._grad_out("b"))
+        if not input_grad:
+            self._cols = None
+            return None
         w_flat = self.params["W"].reshape(self.out_channels, -1)
         dcols = self._scratch(
             workspace, "dcols", grad4.shape[:3] + (w_flat.shape[1],),

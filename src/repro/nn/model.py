@@ -182,14 +182,43 @@ class Model:
             x = layer.forward(x, training=training, workspace=ws)
         return x
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, *,
+                 input_grad: bool = True) -> np.ndarray | None:
         """Input gradient for the last forward batch (same transient
-        arena-buffer contract as :meth:`forward`)."""
+        arena-buffer contract as :meth:`forward`).
+
+        With ``input_grad=False`` only the parameter gradients are
+        produced and ``None`` is returned (see :meth:`backward_plan`).
+        Every parameter gradient is bitwise the same as a full pass.
+        """
         ws = self._workspace
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad, workspace=ws)
+        for layer, kwargs in self.backward_plan(input_grad=input_grad):
+            grad = layer.backward(grad, workspace=ws, **kwargs)
         self._grads_ready = True
-        return grad
+        return grad if input_grad else None
+
+    def backward_plan(self, *, input_grad: bool = True
+                      ) -> list[tuple[Layer, dict]]:
+        """The ``Layer.backward`` calls of one backward pass, in order:
+        ``(layer, extra keyword arguments)``.
+
+        A full pass runs every layer.  Without the input gradient the
+        pass stops at the first trainable layer, which skips its own
+        input gradient when it can
+        (:attr:`~repro.nn.layers.Layer.skips_input_grad`); the
+        parameterless layers in front of it are not run.
+        """
+        layers = self.layers
+        if input_grad:
+            return [(layer, {}) for layer in reversed(layers)]
+        first = next((i for i, layer in enumerate(layers)
+                      if layer.has_params), len(layers))
+        plan = [(layer, {}) for layer in reversed(layers[first + 1:])]
+        if first < len(layers):
+            layer = layers[first]
+            plan.append((layer, {"input_grad": False}
+                         if layer.skips_input_grad else {}))
+        return plan
 
     def loss_and_grad(self, x: np.ndarray, y: np.ndarray,
                       loss: Loss) -> float:
@@ -199,7 +228,7 @@ class Model:
             attach(self._workspace)
         logits = self.forward(x, training=True)
         value = loss.forward(logits, y)
-        self.backward(loss.backward())
+        self.backward(loss.backward(), input_grad=False)
         return value
 
     def per_layer_gradient_vectors(self, x: np.ndarray, y: np.ndarray,

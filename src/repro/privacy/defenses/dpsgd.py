@@ -87,6 +87,3 @@ class DPSGD(Optimizer):
         if noise_std > 0:
             view.add_gaussian(update, self.rng, noise_std)
         params -= self.lr * update
-
-    def _update_flat(self, params, grads) -> None:  # pragma: no cover
-        raise RuntimeError("DPSGD overrides step() directly")

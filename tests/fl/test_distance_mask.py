@@ -17,6 +17,7 @@ from repro.data.partition import split_for_membership
 from repro.data.synthetic import synthetic_tabular
 from repro.fl.aggregation import (
     _cluster_distances,
+    _norm_cluster_keep,
     clustered_mean,
 )
 from repro.fl.config import FLConfig
@@ -126,6 +127,65 @@ class TestMaskedDistances:
 
         assert 2 not in unmasked["filtered"]  # hidden by the noise floor
         assert masked["filtered"] == [2]
+
+
+class TestNonFiniteRows:
+    """One adversary's non-finite coordinate must not switch the
+    filter off (it used to: ``inf * 0`` in a masked coordinate, or a
+    NaN center, made a distance NaN and 2-means then kept every row)."""
+
+    @staticmethod
+    def _cohort(rng):
+        matrix = rng.standard_normal((10, 50)) * 0.01
+        matrix[8:, :40] = 5.0  # rows 8 and 9 are byzantine
+        include = np.ones(50, dtype=bool)
+        include[40:] = False
+        return matrix, include
+
+    def _filtered(self, matrix, include):
+        diagnostics: dict = {}
+        out = clustered_mean(_rows(matrix), diagnostics=diagnostics,
+                             distance_include=include)
+        return diagnostics["filtered"], out.buffer
+
+    def test_baseline_filters_the_byzantine_rows(self, rng):
+        matrix, include = self._cohort(rng)
+        filtered, out = self._filtered(matrix, include)
+        assert filtered == [8, 9]
+        assert np.isfinite(out).all()
+
+    @pytest.mark.parametrize("poison", [np.inf, -np.inf, np.nan])
+    def test_non_finite_masked_coordinate(self, rng, poison):
+        matrix, include = self._cohort(rng)
+        clean = _cluster_distances(matrix, include)
+        matrix[9, 45] = poison  # masked out of the distance
+        np.testing.assert_array_equal(
+            _cluster_distances(matrix, include), clean)
+        filtered, out = self._filtered(matrix, include)
+        assert filtered == [8, 9]
+        assert np.isfinite(out).all()
+
+    @pytest.mark.parametrize("mask", [True, False])
+    def test_nan_in_counted_coordinate(self, rng, mask):
+        matrix, include = self._cohort(rng)
+        matrix[9, 5] = np.nan
+        dist = _cluster_distances(matrix, include if mask else None)
+        assert np.isnan(dist[9]) and np.isfinite(dist[:9]).all()
+        filtered, out = self._filtered(matrix,
+                                       include if mask else None)
+        assert filtered == [8, 9]
+        assert np.isfinite(out).all()
+
+    def test_nan_row_is_dropped_from_an_honest_cohort(self, rng):
+        matrix = rng.standard_normal((6, 20)) * 0.01
+        matrix[3, 0] = np.nan
+        filtered, out = self._filtered(matrix, None)
+        assert filtered == [3]
+        assert np.isfinite(out).all()
+
+    def test_all_nan_distances_keep_everyone(self):
+        dist = np.full(5, np.nan)
+        assert _norm_cluster_keep(dist).all()
 
 
 # ----------------------------------------------------------------------

@@ -1,22 +1,23 @@
-"""Round wall-clock + IPC volume: serial vs pickle-pipe vs shm.
+"""Round wall-clock + IPC volume: serial vs the parallel executor.
 
-Times full federated rounds (20 clients) three ways — the serial
-reference executor, a 4-worker :class:`ParallelExecutor` on the pickle
-transport, and the same pool on the zero-copy shared-memory transport
-— verifies all three end bitwise identical, and writes
-``BENCH_round.json`` at the repo root.
+Times full federated rounds (20 clients) two ways — the serial
+reference executor and a 4-worker :class:`ParallelExecutor` on the
+zero-copy shared-memory transport — verifies both end bitwise
+identical, and writes ``BENCH_round.json`` at the repo root.
 
 Two classes of gate:
 
-* **IPC volume** (asserted everywhere, even on one core): the shm
-  transport must move the weight plane out of the pool pipe — at
-  least 100x fewer pickled bytes per round than the pickle transport
-  at this model size, and a per-client pickled payload that is
-  O(descriptor), not O(num_params).
-* **Wall clock** (gated on >= 4 physical cores, like before): the shm
-  executor must clear the >= 2x floor over serial.  The JSON records
-  the core count so a number measured on constrained hardware is
-  interpretable.
+* **IPC volume** (asserted everywhere, even on one core): the executor
+  must keep the weight plane out of the pool pipe — at least 100x
+  fewer pickled bytes per round than shipping the vectors themselves
+  (``3 * clients * layout.nbytes``: one global buffer down and two
+  result vectors up per client, the exact volume a vector-carrying
+  pipe moves for a stateless defense), and a per-client pickled
+  payload that is O(descriptor), not O(num_params).
+* **Wall clock** (gated on >= 4 physical cores, like before): the
+  parallel executor must clear the >= 2x floor over serial.  The JSON
+  records the core count so a number measured on constrained hardware
+  is interpretable.
 """
 
 from __future__ import annotations
@@ -66,11 +67,10 @@ def _factory(rng: np.random.Generator):
     return build_fcnn(INPUT_DIM, NUM_CLASSES, rng, hidden=HIDDEN)
 
 
-def _timed_run(split, workers: int, ipc: str = "shm"):
+def _timed_run(split, workers: int):
     config = FLConfig(num_clients=NUM_CLIENTS, rounds=ROUNDS,
                       local_epochs=LOCAL_EPOCHS, lr=0.05, batch_size=64,
-                      seed=0, eval_every=ROUNDS, workers=workers,
-                      ipc=ipc)
+                      seed=0, eval_every=ROUNDS, workers=workers)
     sim = FederatedSimulation(split, _factory, config)
     # Spin the pool (and shm segments) up outside the timed region:
     # fork + initializer + segment creation is a one-off, not a
@@ -82,7 +82,8 @@ def _timed_run(split, workers: int, ipc: str = "shm"):
     final = as_store(sim.server.global_weights).buffer.copy()
     report = sim.cost_meter.report
     sim.executor.close()
-    return elapsed, final, report
+    layout = as_store(sim.server.global_weights).layout
+    return elapsed, final, report, layout
 
 
 @pytest.mark.bench
@@ -93,36 +94,31 @@ def test_parallel_round_speedup():
     split = split_for_membership(dataset, rng)
     cores = _available_cores()
 
-    serial_seconds, serial_final, _ = _timed_run(split, workers=0)
-    pickle_seconds, pickle_final, pickle_report = _timed_run(
-        split, workers=WORKERS, ipc="pickle")
-    shm_seconds, shm_final, shm_report = _timed_run(
-        split, workers=WORKERS, ipc="shm")
+    serial_seconds, serial_final, _, _ = _timed_run(split, workers=0)
+    shm_seconds, shm_final, shm_report, layout = _timed_run(
+        split, workers=WORKERS)
 
     speedup_shm = serial_seconds / shm_seconds
-    speedup_pickle = serial_seconds / pickle_seconds
-    pickled_per_round_pickle = \
-        pickle_report.ipc_bytes_pickled / ROUNDS
+    clients_per_round = shm_report.clients_completed / ROUNDS
+    # What a pipe carrying the vectors would move: the global buffer
+    # down plus the update and personal vectors up, per client.
+    vector_bytes_per_round = 3 * clients_per_round * layout.nbytes
     pickled_per_round_shm = shm_report.ipc_bytes_pickled / ROUNDS
     shared_per_round_shm = shm_report.ipc_bytes_shared / ROUNDS
-    reduction = pickled_per_round_pickle \
-        / max(1, pickled_per_round_shm)
+    reduction = vector_bytes_per_round / max(1, pickled_per_round_shm)
     pickled_per_client_shm = shm_report.ipc_bytes_pickled \
         / max(1, shm_report.clients_completed)
 
     OUTPUT.write_text(json.dumps({
-        "benchmark": "FL round: serial vs pickle pipe vs shm IPC",
+        "benchmark": "FL round: serial vs shm-parallel executor",
         "clients": NUM_CLIENTS,
         "workers": WORKERS,
         "rounds": ROUNDS,
         "available_cores": cores,
         "serial_seconds": round(serial_seconds, 4),
-        "pickle_seconds": round(pickle_seconds, 4),
         "shm_seconds": round(shm_seconds, 4),
-        "speedup_pickle": round(speedup_pickle, 2),
         "speedup_shm": round(speedup_shm, 2),
-        "ipc_pickled_bytes_per_round_pickle":
-            int(pickled_per_round_pickle),
+        "ipc_vector_bytes_per_round": int(vector_bytes_per_round),
         "ipc_pickled_bytes_per_round_shm":
             int(pickled_per_round_shm),
         "ipc_shared_bytes_per_round_shm":
@@ -134,26 +130,22 @@ def test_parallel_round_speedup():
 
     print()
     print(f"serial  {serial_seconds:8.3f}s")
-    print(f"pickle  {pickle_seconds:8.3f}s  "
-          f"({pickled_per_round_pickle / 2**20:.1f} MiB/round pickled)")
     print(f"shm     {shm_seconds:8.3f}s  "
           f"({pickled_per_round_shm / 2**10:.1f} KiB/round pickled, "
           f"{shared_per_round_shm / 2**20:.1f} MiB/round shared)")
-    print(f"speedup {speedup_shm:8.2f}x shm, "
-          f"{speedup_pickle:.2f}x pickle "
-          f"({WORKERS} workers, {cores} cores); "
-          f"pickled-bytes reduction {reduction:.0f}x")
+    print(f"speedup {speedup_shm:8.2f}x "
+          f"({WORKERS} workers, {cores} cores); pickled-bytes "
+          f"reduction {reduction:.0f}x vs "
+          f"{vector_bytes_per_round / 2**20:.1f} MiB/round of vectors")
 
     # Determinism is asserted unconditionally — it must hold anywhere.
-    assert np.array_equal(serial_final, pickle_final), \
-        "pickle-parallel run diverged from the serial reference"
     assert np.array_equal(serial_final, shm_final), \
         "shm-parallel run diverged from the serial reference"
 
     # So is the IPC-volume contract: it is hardware-independent.
     assert reduction >= 100.0, \
         f"shm transport still pickles too much: only {reduction:.0f}x " \
-        f"fewer bytes per round than the pickle pipe (need >= 100x)"
+        f"fewer bytes per round than shipping the vectors (need >= 100x)"
     assert pickled_per_client_shm <= DESCRIPTOR_BYTES_CAP, \
         f"shm per-client pipe payload is {pickled_per_client_shm:.0f} " \
         f"bytes — not O(descriptor) (cap {DESCRIPTOR_BYTES_CAP})"

@@ -8,15 +8,14 @@ loop.  This module turns that loop into a pluggable
 * :class:`SerialExecutor` — the reference implementation, one client
   after another in the parent process;
 * :class:`ParallelExecutor` — fans the cohort out across a
-  ``fork``-based process pool, shipping each client's round as one
-  :class:`ClientTask` (the global model as the flat ``WeightStore``
-  buffer — one contiguous float64 array, cheap to pickle — plus the
-  defense state that client's hooks read) and reassembling
-  :class:`ClientRoundResult` objects on the parent;
-* :class:`repro.fl.shm.ShmParallelExecutor` — the same fan-out over a
-  zero-copy shared-memory transport (the default for ``workers > 1``):
-  tasks and results carry O(descriptor) payloads while the weight
-  vectors move through mapped segments.
+  ``fork``-based process pool over the zero-copy shared-memory
+  transport of :mod:`repro.fl.shm`: the round's global buffer and
+  round-shared defense state are published once into mapped
+  segments, each client's :class:`ClientTask` and
+  :class:`ClientRoundResult` cross the pool pipe as O(descriptor)
+  payloads, and the two result vectors come back through leased
+  slabs.  Where segments cannot be created, :func:`make_executor`
+  runs the clients serially instead and warns.
 
 Determinism is the design constraint, not an afterthought: every
 client's round RNG is derived via
@@ -27,13 +26,14 @@ order — and serial and parallel executions are **bitwise identical**.
 
 What crosses the process boundary is explicit and nothing else does:
 
-* parent -> worker: the round index, the global weight-plane buffer,
-  the defense's round-shared state and the client's own defense state
+* parent -> worker: the round index, the global weight-plane buffer
+  and the defense's round-shared state (both once per round, through
+  shared memory), and the client's own defense state
   (:meth:`Defense.export_round_state` /
   :meth:`Defense.export_client_state`);
-* worker -> parent: the transmitted update buffer, the personalized
-  weight buffer, wall-clock deltas for the cost meters, and the
-  client's post-round defense state.
+* worker -> parent: the transmitted update buffer and the personalized
+  weight buffer (through the client's result slab), wall-clock deltas
+  for the cost meters, and the client's post-round defense state.
 
 Worker processes are forked from the fully constructed simulation, so
 datasets and model structure are inherited copy-on-write and are never
@@ -42,14 +42,12 @@ for evaluation state, which the simulation writes back from the
 returned results.
 
 Virtual-client plane: executors resolve ``client_id -> FLClient``
-through a *provider* — anything with ``materialize(client_id)``.  The
-simulation passes its :class:`~repro.fl.virtual.VirtualClientFleet`, so
-each process (the parent for serial, every forked worker for parallel)
-materializes clients on demand from its own bounded model pool instead
-of indexing a fleet-sized list; plain client sequences are adapted for
-direct use.  Each result carries the executing process's pool
-accounting (``pool_live`` / ``pool_materializations``) back to the
-parent's cost meter.
+through the simulation's :class:`~repro.fl.virtual.VirtualClientFleet`,
+so each process (the parent for serial, every forked worker for
+parallel) materializes clients on demand from its own bounded model
+pool instead of indexing a fleet-sized list.  Each result carries the
+executing process's pool accounting (``pool_live`` /
+``pool_materializations``) back to the parent's cost meter.
 
 Workspace arenas (:class:`repro.nn.workspace.Workspace`) are strictly
 process-local: a forked worker inherits the parent model's arena
@@ -61,18 +59,25 @@ is proven free of scratch state.
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import pickle
+import warnings
+from collections import deque
 from collections.abc import Iterator, Sequence
+from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures import ProcessPoolExecutor as _PoolExecutor
-from concurrent.futures import as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.fl.shm import (
+    ShmChannel,
+    _worker_resolve,
+    _worker_write_slab,
+    shm_available,
+)
 from repro.nn.store import Layout, WeightStore, as_store
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -80,6 +85,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.fl.client import FLClient
     from repro.fl.config import FLConfig
     from repro.fl.costs import CostMeter
+    from repro.fl.virtual import VirtualClientFleet
     from repro.privacy.defenses.base import Defense
 
 
@@ -128,21 +134,21 @@ class ClientTask:
     round_index: int
     client_id: int
     #: The global model as the flat weight-plane vector.  ``None`` only
-    #: in shm transit, where ``shm`` names the broadcast instead.
+    #: in transit to a worker, where ``shm`` names the broadcast instead.
     global_buffer: np.ndarray | None
     #: This client's defense state (``Defense.export_client_state``).
     client_state: Any = None
-    #: Round-shared defense state (``Defense.export_round_state``),
-    #: possibly wrapped as a :class:`SharedRoundState` in transit.
+    #: Round-shared defense state (``Defense.export_round_state``).
+    #: ``None`` in transit to a worker, which reads it from ``shm``.
     round_state: Any = None
     #: Injected dropout: a dropped client never trains and never
     #: produces a result (see :func:`client_drops`).
     dropped: bool = False
-    #: shm transport: the round's broadcast descriptor
+    #: In transit: the round's broadcast descriptor
     #: (:class:`repro.fl.shm.ShmRound`); replaces ``global_buffer`` and
     #: ``round_state`` on the wire.
     shm: Any = None
-    #: shm transport: index of the result slab leased to this task.
+    #: In transit: index of the result slab leased to this task.
     slab_index: int | None = None
 
 
@@ -152,10 +158,10 @@ class ClientRoundResult:
 
     client_id: int
     #: The transmitted (post-defense) update as a flat vector.
-    #: ``None`` only in shm transit (the slab holds the row).
+    #: ``None`` only in transit from a worker (the slab holds the row).
     update_buffer: np.ndarray | None
     #: The personalized (pre-defense) weights as a flat vector.
-    #: ``None`` only in shm transit.
+    #: ``None`` only in transit from a worker.
     personal_buffer: np.ndarray | None
     num_samples: int
     train_seconds: float
@@ -166,105 +172,18 @@ class ClientRoundResult:
     defense_state_bytes: int
     #: Virtual-client plane: model instances live in the executing
     #: process's pool, and its cumulative materializations (binds).
-    #: Zero when the executor runs over a plain client sequence.
     pool_live: int = 0
     pool_materializations: int = 0
-    #: shm transport: which slab holds the result rows while the
+    #: In transit: which slab holds the result rows while the
     #: descriptor travels back; ``None`` once the parent folds it in.
     slab_index: int | None = None
 
 
-@dataclass(frozen=True)
-class SharedRoundState:
-    """Round-shared defense state, serialized once for a whole cohort.
-
-    The pickle transport used to re-pickle the identical
-    ``export_round_state`` object into every :class:`ClientTask`; this
-    wrapper serializes it exactly once per round and every task ships
-    the same ``bytes`` object, while workers unpickle it once per
-    generation (not once per task) through a single-slot cache.  The
-    pickle round-trip is bitwise for numpy payloads, and the serial
-    executor already hands all of a round's tasks one shared state
-    object — so sharing the decoded object across a worker's tasks is
-    the *same* semantics, just cheaper.
-    """
-
-    #: Process-wide monotonic id; the worker cache keys on it.
-    generation: int
-    #: ``pickle.dumps(round_state)``, highest protocol.
-    payload: bytes
-
-    _COUNTER = itertools.count(1)
-
-    @classmethod
-    def wrap(cls, round_state: Any) -> "SharedRoundState":
-        return cls(generation=next(cls._COUNTER),
-                   payload=pickle.dumps(
-                       round_state, protocol=pickle.HIGHEST_PROTOCOL))
-
-    def load(self) -> Any:
-        return pickle.loads(self.payload)
-
-
-#: Worker-side single-slot cache: (generation, decoded state).
-_SHARED_STATE_CACHE: tuple[int, Any] | None = None
-
-
-def _resolve_round_state(state: Any) -> Any:
-    """Unwrap a :class:`SharedRoundState`, decoding once per round."""
-    global _SHARED_STATE_CACHE
-    if not isinstance(state, SharedRoundState):
-        return state
-    if _SHARED_STATE_CACHE is not None \
-            and _SHARED_STATE_CACHE[0] == state.generation:
-        return _SHARED_STATE_CACHE[1]
-    value = state.load()
-    _SHARED_STATE_CACHE = (state.generation, value)
-    return value
-
-
-def _share_round_state(tasks: list[ClientTask]
-                       ) -> tuple[list[ClientTask], int]:
-    """Serialize one cohort's shared round state once.
-
-    Only fires when every task carries the *same* state object (the
-    simulation's invariant); heterogeneous or absent states pass
-    through untouched.  Returns the rewritten tasks and the shared
-    payload's length in bytes (0 when nothing was wrapped).
-    """
-    if not tasks:
-        return tasks, 0
-    state = tasks[0].round_state
-    if state is None or isinstance(state, SharedRoundState) \
-            or any(task.round_state is not state for task in tasks):
-        return tasks, 0
-    shared = SharedRoundState.wrap(state)
-    return ([replace(task, round_state=shared) for task in tasks],
-            len(shared.payload))
-
-
-class _SequenceProvider:
-    """Adapter giving a plain client list the provider protocol."""
-
-    def __init__(self, clients: Sequence["FLClient"]) -> None:
-        self.clients = list(clients)
-
-    def materialize(self, client_id: int) -> "FLClient":
-        return self.clients[client_id]
-
-
-def _as_provider(clients: Any) -> Any:
-    """Normalize a fleet-or-sequence into a client provider."""
-    if hasattr(clients, "materialize"):
-        return clients
-    return _SequenceProvider(clients)
-
-
-def _stamp_pool_stats(result: ClientRoundResult, provider: Any) -> None:
+def _stamp_pool_stats(result: ClientRoundResult,
+                      fleet: "VirtualClientFleet") -> None:
     """Record the executing process's pool accounting on the result."""
-    result.pool_live = int(getattr(provider, "live_models", 0))
-    result.pool_materializations = int(
-        getattr(provider, "materializations", 0))
+    result.pool_live = fleet.live_models
+    result.pool_materializations = fleet.materializations
 
 
 def execute_client_task(client: "FLClient", defense: "Defense",
@@ -340,10 +259,10 @@ class RoundExecutor:
 class SerialExecutor(RoundExecutor):
     """The reference executor: clients run one after another."""
 
-    def __init__(self, clients: Any, defense: "Defense",
+    def __init__(self, fleet: "VirtualClientFleet", defense: "Defense",
                  layout: Layout,
                  behavior: "ClientBehavior | None" = None) -> None:
-        self.clients = _as_provider(clients)
+        self.fleet = fleet
         self.defense = defense
         self.layout = layout
         self.behavior = behavior
@@ -354,9 +273,9 @@ class SerialExecutor(RoundExecutor):
             if task.dropped:
                 continue
             result = execute_client_task(
-                self.clients.materialize(task.client_id),
+                self.fleet.materialize(task.client_id),
                 self.defense, self.layout, task, self.behavior)
-            _stamp_pool_stats(result, self.clients)
+            _stamp_pool_stats(result, self.fleet)
             yield result
 
 
@@ -368,12 +287,12 @@ class SerialExecutor(RoundExecutor):
 class _WorkerContext:
     """Per-process replica of the simulation's client-side objects.
 
-    ``clients`` is a provider (fleet or adapted sequence) inherited via
-    fork; each worker materializes from its *own* copy-on-write pool,
-    so per-process live models stay bounded by the pool capacity.
+    ``fleet`` is inherited via fork; each worker materializes from its
+    *own* copy-on-write pool, so per-process live models stay bounded
+    by the pool capacity.
     """
 
-    clients: Any
+    fleet: Any
     defense: Any
     layout: Layout
     behavior: Any = None
@@ -389,37 +308,65 @@ def _bind_worker_context(context: _WorkerContext) -> None:
 
 
 def _run_in_worker(task: ClientTask) -> ClientRoundResult:
+    """Worker entry point: one client's round over the shm transport.
+
+    Resolves the broadcast descriptor into the shared read-only buffer
+    and round state, runs the same :func:`execute_client_task` path as
+    the serial executor, then moves the two result vectors into the
+    leased slab so only a descriptor travels back.
+    """
     context = _WORKER_CONTEXT
     if context is None:  # pragma: no cover - defensive
         raise RuntimeError("worker process has no bound context; "
                            "the pool initializer did not run")
-    round_state = _resolve_round_state(task.round_state)
-    if round_state is not task.round_state:
-        task = replace(task, round_state=round_state)
+    ref = task.shm
+    try:
+        buffer, round_state = _worker_resolve(ref)
+    except Exception as exc:
+        raise RuntimeError(
+            f"client {task.client_id} could not map the round "
+            f"{task.round_index} shared-memory broadcast: "
+            f"{exc!r}") from exc
     try:
         result = execute_client_task(
-            context.clients.materialize(task.client_id),
-            context.defense, context.layout, task, context.behavior)
-        _stamp_pool_stats(result, context.clients)
-        return result
+            context.fleet.materialize(task.client_id), context.defense,
+            context.layout,
+            replace(task, global_buffer=buffer, round_state=round_state),
+            context.behavior)
+        _stamp_pool_stats(result, context.fleet)
     except Exception as exc:
         raise RuntimeError(
             f"client {task.client_id} failed in round "
             f"{task.round_index}: {exc!r}") from exc
+    try:
+        _worker_write_slab(ref, task.slab_index,
+                           result.update_buffer, result.personal_buffer)
+    except Exception as exc:
+        raise RuntimeError(
+            f"client {task.client_id} failed writing its round "
+            f"{task.round_index} result slab: {exc!r}") from exc
+    result.update_buffer = None
+    result.personal_buffer = None
+    result.slab_index = task.slab_index
+    return result
 
 
 class ParallelExecutor(RoundExecutor):
     """Fans client training out across a fork-based process pool.
 
     Workers fork from the fully constructed simulation (datasets and
-    models are inherited, never pickled); each round's per-client
-    state travels explicitly inside the :class:`ClientTask` /
-    :class:`ClientRoundResult` pair.  Results are collected in task
+    models are inherited, never pickled).  Each round's global buffer
+    and round-shared defense state are published once into a
+    :class:`~repro.fl.shm.ShmChannel`; tasks and results cross the
+    pool pipe as descriptors while the two result vectors come back
+    through leased slabs.  Results stream back strictly in cohort
     order, so aggregation consumes updates in exactly the serial
-    cohort order.
+    order.  Submission is windowed by the slab ring: at most
+    ``workers + 1`` tasks are in flight, which also caps how much
+    result memory a round can pin.
     """
 
-    def __init__(self, clients: Any, defense: "Defense",
+    def __init__(self, fleet: "VirtualClientFleet", defense: "Defense",
                  layout: Layout, workers: int,
                  behavior: "ClientBehavior | None" = None,
                  cost_meter: "CostMeter | None" = None) -> None:
@@ -431,79 +378,45 @@ class ParallelExecutor(RoundExecutor):
             raise RuntimeError(
                 "ParallelExecutor requires the 'fork' start method "
                 "(unavailable on this platform); run with workers=0")
-        self.clients = _as_provider(clients)
+        self.fleet = fleet
         self.defense = defense
         self.layout = layout
         self.workers = workers
         self.behavior = behavior
         self.cost_meter = cost_meter
         self._pool: _PoolExecutor | None = None
+        self._channel = ShmChannel(slots=workers + 1)
+        #: Abandoned stragglers still holding a leased slab:
+        #: ``(future, slab_index)``; reaped lazily.
+        self._stragglers: list[tuple[Any, int]] = []
 
+    # -- lifecycle -----------------------------------------------------
     def _ensure_pool(self) -> _PoolExecutor:
         if self._pool is None:
             self._pool = _PoolExecutor(
                 max_workers=self.workers,
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_bind_worker_context,
-                initargs=(_WorkerContext(self.clients, self.defense,
+                initargs=(_WorkerContext(self.fleet, self.defense,
                                          self.layout, self.behavior),),
             )
         return self._pool
 
-    def iter_round(self, tasks: Sequence[ClientTask]
-                   ) -> Iterator[ClientRoundResult]:
-        """imap-style streaming: yield results in task order.
-
-        All non-dropped tasks are submitted up front; completions are
-        collected as they happen (``as_completed``) into a reorder
-        buffer and released strictly in task order, so a consumer sees
-        exactly the serial executor's stream.  A consumer that stops
-        early (round closed at its completion threshold) triggers the
-        ``finally`` below, which cancels every not-yet-started future —
-        in-flight stragglers finish in their workers and are discarded.
-        """
-        pool = self._ensure_pool()
-        live = [task for task in tasks if not task.dropped]
-        live, state_len = _share_round_state(live)
-        pickled_bytes = 0
-        futures: dict[Any, int] = {}
-        for index, task in enumerate(live):
-            pickled_bytes += task.global_buffer.nbytes + state_len
-            futures[pool.submit(_run_in_worker, task)] = index
-        buffered: dict[int, ClientRoundResult] = {}
-        next_index = 0
-        try:
-            for future in as_completed(futures):
-                index = futures[future]
-                try:
-                    result = future.result()
-                except BrokenProcessPool as exc:
-                    self.close()
-                    task = live[index]
-                    raise RuntimeError(
-                        f"a worker process died while training client "
-                        f"{task.client_id} in round {task.round_index} "
-                        "(killed or crashed hard); the pool has been "
-                        "shut down and the round aborted") from exc
-                pickled_bytes += (result.update_buffer.nbytes
-                                  + result.personal_buffer.nbytes)
-                buffered[index] = result
-                while next_index in buffered:
-                    yield buffered.pop(next_index)
-                    next_index += 1
-        finally:
-            for future in futures:
-                future.cancel()
-            if self.cost_meter is not None:
-                self.cost_meter.record_ipc(pickled=pickled_bytes)
-
     def warm_up(self) -> None:
         self._ensure_pool()
+        if self.layout is not None:
+            self._channel.open(self.layout.num_params,
+                               self.layout.dtype)
 
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
+        # The pool is gone (or going): pending stragglers were
+        # cancelled or will die with their workers; unlinking now is
+        # safe either way because mappings survive the unlink.
+        self._stragglers = []
+        self._channel.close()
 
     def __del__(self) -> None:  # pragma: no cover - best effort
         try:
@@ -511,33 +424,165 @@ class ParallelExecutor(RoundExecutor):
         except Exception:
             pass
 
+    # -- slab leasing with backpressure --------------------------------
+    def _reap_stragglers(self, *, block: bool) -> None:
+        """Recycle slabs of abandoned tasks whose futures finished.
 
-def make_executor(clients: Any, defense: "Defense",
+        ``block=True`` waits for at least one straggler to finish —
+        the backpressure path when the whole ring is leased out.
+        Straggler outcomes (results and exceptions alike) are
+        discarded: the round that owned them closed long ago.
+        """
+        if not self._stragglers:
+            return
+        if block:
+            wait([future for future, _ in self._stragglers],
+                 return_when=FIRST_COMPLETED)
+        keep: list[tuple[Any, int]] = []
+        for future, slab in self._stragglers:
+            if future.done():
+                try:
+                    future.result()
+                except Exception:
+                    pass
+                self._channel.recycle(slab)
+            else:
+                keep.append((future, slab))
+        self._stragglers = keep
+
+    def _acquire_slab(self) -> int | None:
+        """Lease a slab, reaping stragglers; None when the current
+        round itself holds every slab (its own completions will free
+        one)."""
+        self._reap_stragglers(block=False)
+        slab = self._channel.lease()
+        if slab is None and self._stragglers:
+            self._reap_stragglers(block=True)
+            slab = self._channel.lease()
+        return slab
+
+    # -- the round loop ------------------------------------------------
+    def iter_round(self, tasks: Sequence[ClientTask]
+                   ) -> Iterator[ClientRoundResult]:
+        """Stream results in task order.
+
+        The round's buffer + state are published once; stripped tasks
+        (descriptor only) are submitted in task order as slabs free
+        up, completions land in a reorder buffer, and each collected
+        result has its slab copied out and recycled before it is
+        yielded — so a consumer sees exactly the serial executor's
+        stream.  A consumer that stops early (round closed at its
+        completion threshold) triggers the ``finally`` below, which
+        cancels every not-yet-started future; in-flight stragglers
+        keep their slab until a later round reaps them.
+        """
+        pool = self._ensure_pool()
+        live = [task for task in tasks if not task.dropped]
+        if not live:
+            return
+        ref = self._channel.publish_round(live[0].global_buffer,
+                                          live[0].round_state)
+        stripped = [
+            replace(task, global_buffer=None, round_state=None, shm=ref)
+            for task in live
+        ]
+        shared_bytes = live[0].global_buffer.nbytes + ref.state_len
+        pickled_bytes = 0
+        task_probe: int | None = None
+        result_probe: int | None = None
+        pending = deque(enumerate(stripped))
+        futures: dict[Any, int] = {}
+        slab_of: dict[int, int] = {}
+        buffered: dict[int, ClientRoundResult] = {}
+        next_index = 0
+        total = len(stripped)
+        try:
+            while next_index < total:
+                while pending:
+                    slab = self._acquire_slab()
+                    if slab is None:
+                        break
+                    index, task = pending.popleft()
+                    task = replace(task, slab_index=slab)
+                    if task_probe is None:
+                        task_probe = len(pickle.dumps(
+                            task, protocol=pickle.HIGHEST_PROTOCOL))
+                    pickled_bytes += task_probe
+                    slab_of[index] = slab
+                    futures[pool.submit(_run_in_worker, task)] = index
+                done, _ = wait(list(futures),
+                               return_when=FIRST_COMPLETED)
+                for future in done:
+                    index = futures.pop(future)
+                    try:
+                        result = future.result()
+                    except BrokenProcessPool as exc:
+                        self.close()
+                        task = live[index]
+                        raise RuntimeError(
+                            f"a worker process died while training "
+                            f"client {task.client_id} in round "
+                            f"{task.round_index} (killed or crashed "
+                            f"hard); the pool has been shut down and "
+                            f"the round aborted") from exc
+                    except Exception:
+                        self._channel.recycle(slab_of.pop(index))
+                        raise
+                    if result_probe is None:
+                        result_probe = len(pickle.dumps(
+                            result, protocol=pickle.HIGHEST_PROTOCOL))
+                    pickled_bytes += result_probe
+                    update, personal = self._channel.read_slab(
+                        slab_of[index])
+                    self._channel.recycle(slab_of.pop(index))
+                    shared_bytes += update.nbytes + personal.nbytes
+                    result.update_buffer = update
+                    result.personal_buffer = personal
+                    result.slab_index = None
+                    buffered[index] = result
+                while next_index in buffered:
+                    yield buffered.pop(next_index)
+                    next_index += 1
+        finally:
+            for future, index in futures.items():
+                slab = slab_of.pop(index)
+                if not self._channel.is_open:
+                    # The channel was torn down mid-round (worker
+                    # crash path): every lease died with it, and
+                    # registering stragglers against a future
+                    # channel's fresh free list would double-recycle.
+                    continue
+                if future.cancel():
+                    self._channel.recycle(slab)
+                else:
+                    self._stragglers.append((future, slab))
+            if self.cost_meter is not None:
+                self.cost_meter.record_ipc(pickled=pickled_bytes,
+                                           shared=shared_bytes)
+
+
+def make_executor(fleet: "VirtualClientFleet", defense: "Defense",
                   layout: Layout, config: "FLConfig",
                   behavior: "ClientBehavior | None" = None,
                   cost_meter: "CostMeter | None" = None
                   ) -> RoundExecutor:
-    """Build the executor ``config.workers`` and ``config.ipc`` ask for.
+    """Build the executor ``config.workers`` asks for.
 
-    ``clients`` is a provider (a ``VirtualClientFleet``) or a plain
-    client sequence.  ``workers`` of 0 or 1 selects the serial
-    reference; anything larger fans out across that many worker
-    processes — over the zero-copy shared-memory transport when
-    ``config.ipc`` is ``"shm"`` (the default) and the platform can
-    create segments, falling back to the pickle transport otherwise.
+    ``workers`` of 0 or 1 selects the serial reference; anything larger
+    fans out across that many worker processes.  Where shared-memory
+    segments cannot be created, the clients run on the serial executor
+    instead — bitwise identical — and one ``RuntimeWarning`` says so.
     ``behavior`` is the run's adversarial-client behavior (``None`` =
     honest); ``cost_meter`` receives per-round IPC byte accounting
     when set.
     """
     if config.workers > 1:
-        if getattr(config, "ipc", "shm") == "shm":
-            from repro.fl.shm import ShmParallelExecutor, shm_available
-            if shm_available():
-                return ShmParallelExecutor(
-                    clients, defense, layout, workers=config.workers,
-                    behavior=behavior, cost_meter=cost_meter)
-        return ParallelExecutor(clients, defense, layout,
-                                workers=config.workers,
-                                behavior=behavior,
-                                cost_meter=cost_meter)
-    return SerialExecutor(clients, defense, layout, behavior=behavior)
+        if shm_available():
+            return ParallelExecutor(fleet, defense, layout,
+                                    workers=config.workers,
+                                    behavior=behavior,
+                                    cost_meter=cost_meter)
+        warnings.warn(
+            f"shared memory unavailable; running {config.workers} "
+            "workers' clients serially", RuntimeWarning, stacklevel=2)
+    return SerialExecutor(fleet, defense, layout, behavior=behavior)

@@ -1,41 +1,37 @@
-"""Zero-copy shared-memory IPC plane for the parallel executor.
+"""Zero-copy shared-memory transport of the parallel executor.
 
-The pickle transport ships every :class:`~repro.fl.executor.ClientTask`
-with its own full copy of the global flat buffer and every
-:class:`~repro.fl.executor.ClientRoundResult` with two more full
-vectors, so a ``C``-client cohort pushes ``~3 * C * num_params``
-float64 values through the pool pipe per round — pure dispatch
-overhead, since the weight plane is already one process-invariant
-contiguous buffer.  This module cuts per-client IPC from
-``O(num_params)`` to ``O(descriptor)``:
+A process-pool pipe that carried the weight vectors themselves would
+push ``~3 * C * num_params`` values per ``C``-client round: one global
+buffer down and two result vectors up per client.  That is pure
+dispatch overhead, since the weight plane is already one
+process-invariant contiguous buffer.  This module holds the segment
+plumbing that cuts per-client IPC from ``O(num_params)`` to
+``O(descriptor)``; :class:`repro.fl.executor.ParallelExecutor` drives
+it.
 
 **Down-link (broadcast segment).**  One ``multiprocessing.
 shared_memory`` segment per executor holds the round's global buffer.
 The parent writes it once per round and bumps a generation counter;
 tasks carry only a tiny :class:`ShmRound` descriptor ``(segment
 names, generation, geometry)``.  Workers map the segment and wrap it
-in a *read-only* zero-copy ``WeightStore`` view — safe because the
-serial executor already hands every task of a round the very same
-buffer object, so nothing in the round path mutates the received
-global in place (DINAR copies before personalizing, ``set_weights``
-copies in).  The round-shared defense state is pickled **once** per
-round into a second segment; each worker unpickles it once per
-generation (not once per task) and caches it.
+in a *read-only* zero-copy view — safe because the serial executor
+already hands every task of a round the very same buffer object, so
+nothing in the round path mutates the received global in place
+(DINAR copies before personalizing, ``set_weights`` copies in).  The
+round-shared defense state is pickled **once** per round into a
+second segment; each worker unpickles it once per generation (not
+once per task) and caches it.
 
 **Up-link (result slab ring).**  A ring of ``workers + 1``
 preallocated slabs — two rows of ``num_params`` each — receives every
-client's ``update_buffer`` / ``personal_buffer`` directly from the
-worker; the descriptor result that travels back through the pipe
-names only the leased slab.  The parent copies the two rows out
-(parent-owned arrays, so downstream consumers keep their lifetime
-guarantees), recycles the slab, and yields a fully materialized
-``ClientRoundResult`` — the simulation cannot tell the transports
-apart.  Straggler tasks abandoned by an early-closed round keep their
-slab leased until their future completes; the ring reaps them lazily
-and blocks (backpressure) only if every slab is held.
+client's update and personalized vectors directly from the worker;
+the descriptor result that travels back through the pipe names only
+the leased slab.  The parent copies the two rows out (parent-owned
+arrays, so downstream consumers keep their lifetime guarantees) and
+recycles the slab.
 
 **Lifecycle.**  ``close()`` is idempotent and unlinks every segment;
-an ``atexit`` hook covers executors that are never closed explicitly.
+an ``atexit`` hook covers channels that are never closed explicitly.
 Workers attach segments *without* registering them with the
 ``resource_tracker`` — on Python < 3.13 an attach re-registers the
 name, and a worker that later exits (or crashes) would have the
@@ -45,12 +41,11 @@ publishes round ``g+1`` after round ``g`` closed, and the only tasks
 still reading by then are stragglers whose results are discarded.
 
 The transport is **bitwise invisible**: the mapped view holds the
-identical float64/float32 values the pickle path would have copied,
-the round state round-trips through the identical ``pickle`` bytes,
-and every per-cell RNG stream is untouched — serial, pickle-parallel
-and shm-parallel runs are trajectory-identical (pinned by the golden
-fixtures and hypothesis-tested across worker counts, defenses and
-pool capacities).
+identical float64/float32 values, the round state round-trips through
+``pickle`` bitwise, and every per-cell RNG stream is untouched —
+serial and parallel runs are trajectory-identical (pinned by the
+golden fixtures and hypothesis-tested across worker counts, defenses
+and pool capacities).
 """
 
 from __future__ import annotations
@@ -58,26 +53,10 @@ from __future__ import annotations
 import atexit
 import pickle
 from collections import deque
-from collections.abc import Iterator, Sequence
-from concurrent.futures import FIRST_COMPLETED, wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
-
-from repro.fl.executor import (
-    ClientRoundResult,
-    ClientTask,
-    ParallelExecutor,
-    _run_in_worker,
-)
-from repro.nn.store import Layout
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.fl.behavior import ClientBehavior
-    from repro.fl.costs import CostMeter
-    from repro.privacy.defenses.base import Defense
 
 try:  # platforms without POSIX/System V shared memory lack the module
     from multiprocessing import shared_memory as _shm
@@ -96,7 +75,7 @@ def shm_available() -> bool:
 
     Probed once per process by creating and unlinking a 1-byte
     segment; containers that mount no ``/dev/shm`` (or deny shm_open)
-    make the executor fall back to the pickle transport.
+    make the executor run clients serially instead.
     """
     global _AVAILABLE
     if _AVAILABLE is None:
@@ -140,8 +119,9 @@ def _attach(name: str) -> Any:
 class ShmRound:
     """O(descriptor) handle to one round's shared-memory broadcast.
 
-    This — not the weight vectors — is what a :class:`ClientTask`
-    carries through the pool pipe in shm mode.
+    This — not the weight vectors — is what a
+    :class:`~repro.fl.executor.ClientTask` carries through the pool
+    pipe.
     """
 
     #: Segment holding the round's global flat buffer.
@@ -344,13 +324,6 @@ class ShmChannel:
         accumulator, personal-weights registry, ``last_updates``) keep
         arrays with ordinary lifetimes.
         """
-        rows = self._slab_rows(index)
-        update = rows[0].copy()
-        personal = rows[1].copy()
-        del rows
-        return update, personal
-
-    def _slab_rows(self, index: int) -> np.ndarray:
         if self._slabs is None:
             raise RuntimeError("channel is not open")
         if not 0 <= index < self.slots:
@@ -358,17 +331,12 @@ class ShmChannel:
                              f"[0, {self.slots})")
         itemsize = self._dtype.itemsize
         offset = index * 2 * self._num_params * itemsize
-        return np.ndarray((2, self._num_params), dtype=self._dtype,
+        rows = np.ndarray((2, self._num_params), dtype=self._dtype,
                           buffer=self._slabs.buf, offset=offset)
-
-    def write_slab(self, index: int, update: np.ndarray,
-                   personal: np.ndarray) -> None:
-        """Write both result rows of one slab (parent-side; tests —
-        workers go through :func:`_worker_write_slab`)."""
-        rows = self._slab_rows(index)
-        rows[0] = update
-        rows[1] = personal
+        update = rows[0].copy()
+        personal = rows[1].copy()
         del rows
+        return update, personal
 
 
 # ----------------------------------------------------------------------
@@ -442,213 +410,3 @@ def _worker_write_slab(ref: ShmRound, index: int, update: np.ndarray,
     rows[0] = update
     rows[1] = personal
     del rows
-
-
-def _run_in_worker_shm(task: ClientTask) -> ClientRoundResult:
-    """Worker entry point of the shm transport.
-
-    Resolves the broadcast descriptor into the shared read-only
-    buffer + round state, runs the exact same
-    ``execute_client_task`` path as every other executor, then moves
-    the two result vectors into the leased slab so only a descriptor
-    travels back.
-    """
-    ref = task.shm
-    try:
-        buffer, round_state = _worker_resolve(ref)
-    except Exception as exc:
-        raise RuntimeError(
-            f"client {task.client_id} could not map the round "
-            f"{task.round_index} shared-memory broadcast: "
-            f"{exc!r}") from exc
-    inner = replace(task, global_buffer=buffer,
-                    round_state=round_state, shm=None)
-    result = _run_in_worker(inner)
-    try:
-        _worker_write_slab(ref, task.slab_index,
-                           result.update_buffer, result.personal_buffer)
-    except Exception as exc:
-        raise RuntimeError(
-            f"client {task.client_id} failed writing its round "
-            f"{task.round_index} result slab: {exc!r}") from exc
-    result.update_buffer = None
-    result.personal_buffer = None
-    result.slab_index = task.slab_index
-    return result
-
-
-# ----------------------------------------------------------------------
-# the executor
-# ----------------------------------------------------------------------
-
-class ShmParallelExecutor(ParallelExecutor):
-    """:class:`ParallelExecutor` over the zero-copy shm transport.
-
-    Identical fan-out, ordering and failure semantics — results stream
-    back strictly in cohort order through the same reorder buffer, a
-    worker exception still names its client and round, and a hard
-    worker death still raises promptly — but per-client IPC is a
-    descriptor, not three weight vectors.  Submission is windowed by
-    the slab ring: at most ``workers + 1`` tasks are in flight, which
-    also caps how much result memory a round can pin.
-    """
-
-    def __init__(self, clients: Any, defense: "Defense",
-                 layout: Layout, workers: int,
-                 behavior: "ClientBehavior | None" = None,
-                 cost_meter: "CostMeter | None" = None) -> None:
-        super().__init__(clients, defense, layout, workers,
-                         behavior=behavior, cost_meter=cost_meter)
-        self._channel = ShmChannel(slots=workers + 1)
-        #: Abandoned stragglers still holding a leased slab:
-        #: ``(future, slab_index)``; reaped lazily.
-        self._stragglers: list[tuple[Any, int]] = []
-
-    # -- lifecycle -----------------------------------------------------
-    def warm_up(self) -> None:
-        super().warm_up()
-        if self.layout is not None:
-            self._channel.open(self.layout.num_params,
-                               self.layout.dtype)
-
-    def close(self) -> None:
-        super().close()
-        # The pool is gone (or going): pending stragglers were
-        # cancelled or will die with their workers; unlinking now is
-        # safe either way because mappings survive the unlink.
-        self._stragglers = []
-        self._channel.close()
-
-    # -- slab leasing with backpressure --------------------------------
-    def _reap_stragglers(self, *, block: bool) -> None:
-        """Recycle slabs of abandoned tasks whose futures finished.
-
-        ``block=True`` waits for at least one straggler to finish —
-        the backpressure path when the whole ring is leased out.
-        Straggler outcomes (results and exceptions alike) are
-        discarded: the round that owned them closed long ago.
-        """
-        if not self._stragglers:
-            return
-        if block:
-            wait([future for future, _ in self._stragglers],
-                 return_when=FIRST_COMPLETED)
-        keep: list[tuple[Any, int]] = []
-        for future, slab in self._stragglers:
-            if future.done():
-                try:
-                    future.result()
-                except Exception:
-                    pass
-                self._channel.recycle(slab)
-            else:
-                keep.append((future, slab))
-        self._stragglers = keep
-
-    def _acquire_slab(self) -> int | None:
-        """Lease a slab, reaping stragglers; None when the current
-        round itself holds every slab (its own completions will free
-        one)."""
-        self._reap_stragglers(block=False)
-        slab = self._channel.lease()
-        if slab is None and self._stragglers:
-            self._reap_stragglers(block=True)
-            slab = self._channel.lease()
-        return slab
-
-    # -- the round loop ------------------------------------------------
-    def iter_round(self, tasks: Sequence[ClientTask]
-                   ) -> Iterator[ClientRoundResult]:
-        """Stream results in task order over the shm transport.
-
-        The round's buffer + state are published once; stripped tasks
-        (descriptor only) are submitted in task order as slabs free
-        up, completions land in a reorder buffer, and each collected
-        result has its slab copied out and recycled before it is
-        yielded — so the simulation consumes exactly the pickle
-        path's stream.
-        """
-        pool = self._ensure_pool()
-        live = [task for task in tasks if not task.dropped]
-        if not live:
-            return
-        ref = self._channel.publish_round(live[0].global_buffer,
-                                          live[0].round_state)
-        stripped = [
-            replace(task, global_buffer=None, round_state=None, shm=ref)
-            for task in live
-        ]
-        shared_bytes = live[0].global_buffer.nbytes + ref.state_len
-        pickled_bytes = 0
-        task_probe: int | None = None
-        result_probe: int | None = None
-        pending = deque(enumerate(stripped))
-        futures: dict[Any, int] = {}
-        slab_of: dict[int, int] = {}
-        buffered: dict[int, ClientRoundResult] = {}
-        next_index = 0
-        total = len(stripped)
-        try:
-            while next_index < total:
-                while pending:
-                    slab = self._acquire_slab()
-                    if slab is None:
-                        break
-                    index, task = pending.popleft()
-                    task = replace(task, slab_index=slab)
-                    if task_probe is None:
-                        task_probe = len(pickle.dumps(
-                            task, protocol=_PICKLE_PROTOCOL))
-                    pickled_bytes += task_probe
-                    slab_of[index] = slab
-                    futures[pool.submit(_run_in_worker_shm, task)] = \
-                        index
-                done, _ = wait(list(futures),
-                               return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = futures.pop(future)
-                    try:
-                        result = future.result()
-                    except BrokenProcessPool as exc:
-                        self.close()
-                        task = live[index]
-                        raise RuntimeError(
-                            f"a worker process died while training "
-                            f"client {task.client_id} in round "
-                            f"{task.round_index} (killed or crashed "
-                            f"hard); the pool has been shut down and "
-                            f"the round aborted") from exc
-                    except Exception:
-                        self._channel.recycle(slab_of.pop(index))
-                        raise
-                    if result_probe is None:
-                        result_probe = len(pickle.dumps(
-                            result, protocol=_PICKLE_PROTOCOL))
-                    pickled_bytes += result_probe
-                    update, personal = self._channel.read_slab(
-                        slab_of[index])
-                    self._channel.recycle(slab_of.pop(index))
-                    shared_bytes += update.nbytes + personal.nbytes
-                    result.update_buffer = update
-                    result.personal_buffer = personal
-                    result.slab_index = None
-                    buffered[index] = result
-                while next_index in buffered:
-                    yield buffered.pop(next_index)
-                    next_index += 1
-        finally:
-            for future, index in futures.items():
-                slab = slab_of.pop(index)
-                if not self._channel.is_open:
-                    # The channel was torn down mid-round (worker
-                    # crash path): every lease died with it, and
-                    # registering stragglers against a future
-                    # channel's fresh free list would double-recycle.
-                    continue
-                if future.cancel():
-                    self._channel.recycle(slab)
-                else:
-                    self._stragglers.append((future, slab))
-            if self.cost_meter is not None:
-                self.cost_meter.record_ipc(pickled=pickled_bytes,
-                                           shared=shared_bytes)

@@ -12,6 +12,7 @@ weights, transmitted (post-defense) updates, and recorded accuracies.
 from __future__ import annotations
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.fl.executor import (
     make_executor,
     round_rng,
 )
+from repro.fl.shm import ShmChannel, shm_available
 from repro.fl.simulation import FederatedSimulation
 from repro.nn.store import as_store
 from repro.privacy.defenses.base import Defense
@@ -37,6 +39,11 @@ from repro.privacy.defenses.wdp import WeakDP
 pytestmark = pytest.mark.skipif(
     "fork" not in __import__("multiprocessing").get_all_start_methods(),
     reason="parallel executor requires the fork start method")
+
+#: Without shared memory a multi-worker config runs serially, so tests
+#: that need real worker processes skip there.
+requires_shm = pytest.mark.skipif(
+    not shm_available(), reason="shared memory unavailable")
 
 DEFENSE_FACTORIES = {
     "none": lambda: None,
@@ -115,49 +122,56 @@ class TestSelection:
         sim, _ = _run(small_split, tiny_model_factory, None, rounds=1)
         assert isinstance(sim.executor, SerialExecutor)
 
+    @requires_shm
     def test_workers_selects_parallel(self):
         config = FLConfig(workers=2)
-        executor = make_executor([], Defense(), None, config)
+        executor = make_executor(None, Defense(), None, config)
         assert isinstance(executor, ParallelExecutor)
         assert executor.workers == 2
         executor.close()
 
+    @requires_shm
     def test_default_transport_is_shm(self):
-        from repro.fl.shm import ShmParallelExecutor, shm_available
-        if not shm_available():
-            pytest.skip("shared memory unavailable on this platform")
-        executor = make_executor([], Defense(), None, FLConfig(workers=2))
-        assert isinstance(executor, ShmParallelExecutor)
+        executor = make_executor(None, Defense(), None, FLConfig(workers=2))
+        assert isinstance(executor._channel, ShmChannel)
         executor.close()
 
-    def test_ipc_pickle_selects_plain_parallel(self):
-        from repro.fl.shm import ShmParallelExecutor
-        config = FLConfig(workers=2, ipc="pickle")
-        executor = make_executor([], Defense(), None, config)
-        assert isinstance(executor, ParallelExecutor)
-        assert not isinstance(executor, ShmParallelExecutor)
-        executor.close()
-
-    def test_shm_falls_back_to_pickle_when_unavailable(
-            self, monkeypatch):
+    def test_shm_unavailable_falls_back_to_serial(
+            self, monkeypatch, small_split, tiny_model_factory):
+        serial, _ = _run(small_split, tiny_model_factory, None,
+                         workers=0, rounds=1)
         from repro.fl import shm
         monkeypatch.setattr(shm, "_AVAILABLE", False)
-        executor = make_executor([], Defense(), None, FLConfig(workers=2))
-        assert isinstance(executor, ParallelExecutor)
-        assert not isinstance(executor, shm.ShmParallelExecutor)
-        executor.close()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fallback, _ = _run(small_split, tiny_model_factory, None,
+                               workers=2, rounds=1)
+        assert isinstance(fallback.executor, SerialExecutor)
+        runtime = [w for w in caught
+                   if issubclass(w.category, RuntimeWarning)]
+        assert len(runtime) == 1
+        assert "shared memory unavailable" in str(runtime[0].message)
+        assert "2 workers' clients serially" in str(runtime[0].message)
+        assert np.array_equal(
+            as_store(serial.server.global_weights).buffer,
+            as_store(fallback.server.global_weights).buffer)
 
     def test_config_rejects_unknown_ipc(self):
         with pytest.raises(ValueError, match="ipc"):
             FLConfig(ipc="carrier-pigeon")
 
+    def test_config_rejects_removed_pickle_ipc(self):
+        with pytest.raises(ValueError,
+                           match="pickle transport was removed"):
+            FLConfig(**{"ipc": "pickle"})
+
     def test_one_worker_is_serial(self):
-        executor = make_executor([], Defense(), None, FLConfig(workers=1))
+        executor = make_executor(None, Defense(), None, FLConfig(workers=1))
         assert isinstance(executor, SerialExecutor)
 
     def test_parallel_rejects_single_worker(self):
         with pytest.raises(ValueError, match=">= 2 workers"):
-            ParallelExecutor([], Defense(), None, workers=1)
+            ParallelExecutor(None, Defense(), None, workers=1)
 
     def test_config_rejects_negative_workers(self):
         with pytest.raises(ValueError, match="workers"):
@@ -171,22 +185,32 @@ class TestSelection:
             ["run", "--dataset", dataset, "--workers", "3"])
         assert args.workers == 3
 
+    def test_cli_rejects_removed_ipc_flag(self):
+        """The transport flag went with the pickle transport; argparse
+        must reject it rather than silently accept it."""
+        from repro.cli import _build_parser
+        from repro.data import available_datasets
+        dataset = available_datasets()[0]
+        removed_flag = "--" + "ipc"
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(
+                ["run", "--dataset", dataset, removed_flag, "shm"])
+
 
 # ----------------------------------------------------------------------
 # serial vs parallel: bitwise identity
 # ----------------------------------------------------------------------
 
 class TestBitwiseIdentity:
-    @pytest.mark.parametrize("ipc", ["pickle", "shm"])
     @pytest.mark.parametrize("defense_name",
                              sorted(DEFENSE_FACTORIES))
     def test_full_run_identical(self, small_split, tiny_model_factory,
-                                defense_name, ipc):
+                                defense_name):
         make = DEFENSE_FACTORIES[defense_name]
         serial = _snapshot(*_run(small_split, tiny_model_factory,
                                  make(), workers=0))
         parallel = _snapshot(*_run(small_split, tiny_model_factory,
-                                   make(), workers=2, ipc=ipc))
+                                   make(), workers=2))
         assert np.array_equal(serial["global"], parallel["global"])
         assert serial["personal"].keys() == parallel["personal"].keys()
         for cid in serial["personal"]:
@@ -248,22 +272,21 @@ class _DyingDefense(Defense):
         return weights
 
 
+@requires_shm
 class TestFailures:
-    @pytest.mark.parametrize("ipc", ["pickle", "shm"])
     def test_worker_exception_names_client_and_round(
-            self, small_split, tiny_model_factory, ipc):
+            self, small_split, tiny_model_factory):
         with pytest.raises(RuntimeError,
                            match=r"client 1 failed in round 0"):
             _run(small_split, tiny_model_factory, _ExplodingDefense(),
-                 workers=2, rounds=1, ipc=ipc)
+                 workers=2, rounds=1)
 
-    @pytest.mark.parametrize("ipc", ["pickle", "shm"])
     def test_worker_crash_surfaces_instead_of_hanging(
-            self, small_split, tiny_model_factory, ipc):
+            self, small_split, tiny_model_factory):
         """A hard worker death must raise promptly, not deadlock."""
         with pytest.raises(RuntimeError, match="worker process died"):
             _run(small_split, tiny_model_factory, _DyingDefense(),
-                 workers=2, rounds=1, ipc=ipc)
+                 workers=2, rounds=1)
 
     def test_pool_recreated_after_close(self, small_split,
                                         tiny_model_factory):

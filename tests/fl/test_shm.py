@@ -20,11 +20,11 @@ import pytest
 from repro.data.partition import split_for_membership
 from repro.data.synthetic import synthetic_tabular
 from repro.fl.config import FLConfig
-from repro.fl.executor import ClientTask
+from repro.fl.executor import ClientTask, ParallelExecutor
 from repro.fl.shm import (
     ShmChannel,
-    ShmParallelExecutor,
     ShmRound,
+    _worker_write_slab,
     shm_available,
 )
 from repro.fl.simulation import FederatedSimulation
@@ -61,7 +61,7 @@ def _make_sim(defense=None, **cfg_kwargs):
     data = synthetic_tabular(rng, 400, 20, 4, noise=0.2)
     split = split_for_membership(data, rng)
     defaults = dict(num_clients=4, rounds=2, local_epochs=1, lr=0.1,
-                    batch_size=32, seed=5, workers=2, ipc="shm")
+                    batch_size=32, seed=5, workers=2)
     defaults.update(cfg_kwargs)
     from repro.models.fcnn import build_fcnn
     return FederatedSimulation(
@@ -137,20 +137,22 @@ class TestChannel:
             channel.close()
 
     def test_slab_roundtrip_is_bitwise(self, no_leaked_segments):
+        """A worker-side slab write reads back bit for bit."""
         channel = ShmChannel(slots=2)
-        channel.open(6, np.dtype(np.float64))
         try:
+            ref = channel.publish_round(np.zeros(6), None)
             update = np.random.default_rng(0).standard_normal(6)
             personal = np.random.default_rng(1).standard_normal(6)
-            channel.write_slab(1, update, personal)
+            _worker_write_slab(ref, 1, update, personal)
             got_update, got_personal = channel.read_slab(1)
             assert np.array_equal(got_update, update)
             assert np.array_equal(got_personal, personal)
             # parent-owned copies: recycling cannot corrupt them
-            channel.write_slab(1, personal, update)
+            _worker_write_slab(ref, 1, personal, update)
             assert np.array_equal(got_update, update)
         finally:
             channel.close()
+            _reset_worker_caches()
 
     def test_close_is_idempotent_and_unlinks(self):
         channel = ShmChannel(slots=2)
@@ -209,7 +211,7 @@ class TestLifecycle:
     def test_run_then_close_leaves_no_segments(self,
                                                no_leaked_segments):
         sim = _make_sim()
-        assert isinstance(sim.executor, ShmParallelExecutor)
+        assert isinstance(sim.executor, ParallelExecutor)
         sim.run()  # run() closes the executor in its finally
         assert not sim.executor._channel.is_open
 
@@ -284,14 +286,6 @@ class TestPayloads:
         per_client = report.ipc_bytes_pickled \
             / report.clients_completed
         assert per_client < 8192
-
-    def test_pickle_run_records_pickled_only(self,
-                                             no_leaked_segments):
-        sim = _make_sim(ipc="pickle")
-        sim.run()
-        report = sim.cost_meter.report
-        assert report.ipc_bytes_pickled > 0
-        assert report.ipc_bytes_shared == 0
 
     def test_serial_run_records_no_ipc(self):
         sim = _make_sim(workers=0)

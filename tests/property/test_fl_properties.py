@@ -76,7 +76,7 @@ def test_shm_parallel_matches_golden_pin(workers, defense,
     the transport, the fan-out width, and the virtual-client pool size
     are all invisible to the trajectory.
     """
-    vector = simulation_trajectory(defense, workers=workers, ipc="shm",
+    vector = simulation_trajectory(defense, workers=workers,
                                    max_materialized=max_materialized)
     with np.load(_PINS) as pins:
         expected = pins[f"defense/{defense}"]

@@ -65,6 +65,12 @@ class _StoredLayer(dict):
         return (_StoredLayer, (self.flat, self.entries))
 
 
+def _stored_nbytes(stored: dict[int, dict[str, np.ndarray]]) -> int:
+    """Bytes of one client's stored layers."""
+    return sum(v.nbytes for layer in stored.values()
+               for v in layer.values())
+
+
 class DINAR(Defense):
     """The DINAR privacy-protection pipeline (Algorithm 1)."""
 
@@ -128,6 +134,9 @@ class DINAR(Defense):
         self.lr = lr
         self.extra_layers = tuple(extra_layers)
         self._stored: dict[int, dict[int, dict[str, np.ndarray]]] = {}
+        # Running total of the stored arrays' bytes (see
+        # import_client_state), so state_bytes() is O(1).
+        self._stored_bytes = 0
 
     # ------------------------------------------------------------------
     def _resolve(self, index: int, num_layers: int) -> int:
@@ -153,7 +162,9 @@ class DINAR(Defense):
         stored = self._stored.get(client_id)
         if stored is None or not self.personalize:
             return weights  # first round / ablated: nothing to restore
-        personalized = as_store(weights, copy=True)
+        # In place on the client's live store (the hook's contract); a
+        # nested input is copied into a fresh store first.
+        personalized = as_store(weights)
         for layer_idx, saved in stored.items():
             if isinstance(saved, _StoredLayer):
                 # the whole layer is one contiguous coordinate range
@@ -195,7 +206,7 @@ class DINAR(Defense):
                 noise = standard_normal(rng, e.shape, out.layout.dtype)
                 noise *= self._noise_std(view)
                 view[:] = noise
-        self._stored[client_id] = stored
+        self.import_client_state(client_id, stored)
         return out
 
     def _noise_std(self, array: np.ndarray) -> float:
@@ -213,17 +224,17 @@ class DINAR(Defense):
         return self._stored.get(client_id)
 
     def import_client_state(self, client_id: int, state) -> None:
+        old = self._stored.get(client_id)
+        if old is not None:
+            self._stored_bytes -= _stored_nbytes(old)
         if state is None:
             self._stored.pop(client_id, None)
         else:
             self._stored[client_id] = state
+            self._stored_bytes += _stored_nbytes(state)
 
     def state_bytes(self) -> int:
-        return sum(
-            v.nbytes
-            for per_client in self._stored.values()
-            for layer in per_client.values()
-            for v in layer.values())
+        return self._stored_bytes
 
     def describe(self) -> str:
         extra = f", extra={list(self.extra_layers)}" if self.extra_layers \

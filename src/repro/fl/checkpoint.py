@@ -87,5 +87,5 @@ def load_checkpoint(simulation: FederatedSimulation,
                 prefix, key = name.split("/", 1)
                 idx = int(prefix.removeprefix("layer"))
                 layers.setdefault(idx, {})[key] = archive[name]
-        simulation.defense._stored[int(client_id)] = layers
+        simulation.defense.import_client_state(int(client_id), layers)
     return meta

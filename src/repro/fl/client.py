@@ -1,8 +1,9 @@
 """FL client: local training plus the defense hook pipeline.
 
-Each round a participating client (i) passes the downloaded global
-model through ``defense.on_receive_global`` (DINAR's personalization
-step), (ii) trains locally — the defense may impose its optimizer
+Each round a participating client (i) loads the downloaded global
+model and passes its live weight store through
+``defense.on_receive_global`` (DINAR's personalization step, in
+place), (ii) trains locally — the defense may impose its optimizer
 (DINAR's adaptive gradient descent) — and (iii) passes the resulting
 weights through ``defense.on_send_update`` (DINAR's obfuscation, DP
 noise, compression or masking) before upload.
@@ -40,7 +41,7 @@ from repro.nn.losses import Loss, SoftmaxCrossEntropy
 from repro.nn.metrics import accuracy
 from repro.nn.model import Model
 from repro.nn.optim import make_optimizer
-from repro.nn.store import WeightsLike, WeightStore, as_store
+from repro.nn.store import WeightsLike, WeightStore
 from repro.privacy.defenses.base import Defense
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -159,13 +160,6 @@ class FLClient:
             return self._registry.get(self.client_id)
         return self._personal
 
-    @personal_weights.setter
-    def personal_weights(self, weights: WeightStore | None) -> None:
-        if self._registry is not None and weights is not None:
-            self._registry.put(self.client_id, as_store(weights).buffer)
-            return
-        self._personal = weights
-
     @property
     def num_samples(self) -> int:
         """Local dataset size (FedAvg weighting factor).
@@ -201,9 +195,14 @@ class FLClient:
             rng = round_rng(self.config.seed, round_index, self.client_id)
         self.rng = rng
         self.model.attach_rng(rng)
-        received = self.defense.on_receive_global(
-            self.client_id, global_weights)
-        self.model.set_weights(received)
+        # The global model is loaded first and personalized in place on
+        # the live store, so the received buffer (a read-only shared
+        # segment in a worker) is never written and never copied twice.
+        self.model.set_weights(global_weights)
+        live = self.model.weights
+        received = self.defense.on_receive_global(self.client_id, live)
+        if received is not live:
+            self.model.set_weights(received)
 
         adversarial = behavior is not None \
             and behavior.is_adversary(self.client_id)
@@ -227,9 +226,14 @@ class FLClient:
 
         # Personalized model = post-training weights with the private
         # layer intact; this is what the client uses for predictions.
-        self.personal_weights = self.model.get_store()
+        # A registry-bound client copies the live store straight into
+        # its row; an unbound one keeps a snapshot.
+        if self._registry is not None:
+            self._registry.put(self.client_id, live.buffer)
+        else:
+            self._personal = self.model.get_store()
 
-        outbound = self.model.get_store()
+        outbound = live
         if adversarial:
             outbound = behavior.corrupt_update(
                 self.client_id, outbound, start_store,
@@ -243,6 +247,12 @@ class FLClient:
                 self.num_samples, self.rng)
         defense_seconds = self.cost_meter.report.client_defense_seconds \
             - defended_before
+        # Defenses that transform the update return fresh buffers; a
+        # pass-through (none, LDP) hands back the live store, which
+        # the next round or the next pooled client would overwrite.
+        if isinstance(sent, WeightStore) \
+                and np.may_share_memory(sent.buffer, live.buffer):
+            sent = sent.copy()
         self.cost_meter.record_defense_state(self.defense.state_bytes())
 
         return ClientUpdate(

@@ -157,11 +157,30 @@ class Adagrad(Optimizer):
     def __init__(self, model: Model, lr: float, eps: float = 1e-5) -> None:
         super().__init__(model, lr)
         self.eps = eps
+        self._first = False
+
+    def _slot(self, name: str) -> np.ndarray:
+        # G starts at 0, and ``0 + g**2`` is exactly ``g**2`` (a square
+        # is +0 or above, NaN aside), so G is allocated unfilled and
+        # the step that allocates it writes ``g**2`` straight in.
+        # ``step`` fetches the slot once per step, so ``_first`` holds
+        # for exactly that step.  Other rules keep zero-filled state:
+        # their first-step results, e.g. ``0 * momentum + g``, may
+        # differ from the shortcut in the sign of a zero.
+        accum = self.state.get(name)
+        self._first = accum is None
+        if self._first:
+            accum = np.empty_like(self.model.weights.buffer)
+            self.state[name] = accum
+        return accum
 
     def _update_block(self, p, g, t, u, accum) -> None:
         # accum += g ** 2;  p -= lr * g / sqrt(accum + eps)
-        np.square(g, out=t)
-        accum += t
+        if self._first:
+            np.square(g, out=accum)
+        else:
+            np.square(g, out=t)
+            accum += t
         np.add(accum, self.eps, out=t)
         np.sqrt(t, out=t)
         np.multiply(g, self.lr, out=u)

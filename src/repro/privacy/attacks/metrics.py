@@ -27,18 +27,15 @@ def roc_auc(positive_scores: np.ndarray,
         raise ValueError("both score sets must be non-empty")
     combined = np.concatenate([pos, neg])
     order = combined.argsort(kind="mergesort")
-    ranks = np.empty_like(combined)
-    ranks[order] = np.arange(1, combined.size + 1, dtype=np.float64)
-    # average ranks over ties
     sorted_vals = combined[order]
-    i = 0
-    while i < combined.size:
-        j = i
-        while j + 1 < combined.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        if j > i:
-            ranks[order[i:j + 1]] = 0.5 * (i + 1 + j + 1)
-        i = j + 1
+    # Runs of equal values share their average 1-based rank: a run over
+    # sorted positions [start, end) averages to (start + 1 + end) / 2.
+    # NaN equals nothing, so each NaN is a run of its own.
+    starts = np.flatnonzero(
+        np.concatenate([[True], sorted_vals[1:] != sorted_vals[:-1]]))
+    ends = np.append(starts[1:], combined.size)
+    ranks = np.empty_like(combined)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
     rank_sum = ranks[:pos.size].sum()
     u = rank_sum - pos.size * (pos.size + 1) / 2.0
     return float(u / (pos.size * neg.size))
@@ -83,16 +80,26 @@ def local_models_auc(attack, simulation, *, max_samples: int = 500,
     update that client actually uploaded — after any defense transform —
     and tries to separate that client's training samples from held-out
     data.
+
+    One model is built per call and each client's update is loaded
+    into it: ``set_weights`` overwrites every parameter and buffer, and
+    scoring reads nothing else, so the AUCs equal those of a fresh
+    model per client.
     """
     rng = rng or np.random.default_rng(0)
+    # Ascending id over every client that has ever transmitted:
+    # ``last_updates`` keeps each client's latest upload across rounds,
+    # so this covers past rounds' participants too, not only the last
+    # round's.  No FLClient is materialized (at fleet scale, most
+    # clients never trained).
+    client_ids = sorted(simulation.last_updates)
+    if not client_ids:
+        raise RuntimeError("no client has transmitted an update yet")
+    model = simulation.transmitted_model(client_ids[0])
     nonmembers = simulation.split.nonmembers
     aucs = []
-    # Ascending id over the round's participants — the same clients in
-    # the same order as iterating the full fleet and skipping
-    # non-participants, without materializing a single FLClient (at
-    # fleet scale, most clients never trained).
-    for client_id in sorted(simulation.last_updates):
-        model = simulation.transmitted_model(client_id)
+    for client_id in client_ids:
+        model.set_weights(simulation.last_updates[client_id])
         data = simulation.client_dataset(client_id)
         m_idx = _sample(rng, len(data), max_samples)
         n_idx = _sample(rng, len(nonmembers), max_samples)
@@ -100,8 +107,6 @@ def local_models_auc(attack, simulation, *, max_samples: int = 500,
         n_scores = attack.score(
             model, nonmembers.x[n_idx], nonmembers.y[n_idx])
         aucs.append(attack_auc(m_scores, n_scores))
-    if not aucs:
-        raise RuntimeError("no client has transmitted an update yet")
     return float(np.mean(aucs))
 
 

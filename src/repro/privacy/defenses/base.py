@@ -71,13 +71,25 @@ class Defense:
 
     def on_receive_global(self, client_id: int,
                           weights: WeightsLike) -> WeightsLike:
-        """Transform the downloaded global model for one client."""
+        """Transform the downloaded global model for one client.
+
+        The client has already loaded the global model, and ``weights``
+        is its model's live store: a defense may write it in place and
+        return it (DINAR restores the private layers this way), or
+        return other weights, which the client then loads.  The store
+        is overwritten next round, so it must not be kept.
+        """
         return weights
 
     def on_send_update(self, client_id: int, weights: WeightsLike,
                        num_samples: int,
                        rng: np.random.Generator) -> WeightsLike:
-        """Transform the update a client is about to upload."""
+        """Transform the update a client is about to upload.
+
+        ``weights`` may be the client model's live store; it must not
+        be kept or written.  Returning it (or a view of it) is allowed:
+        the client copies an update that shares the model's memory.
+        """
         return weights
 
     def on_aggregate(self, weights: WeightsLike,

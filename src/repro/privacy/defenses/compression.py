@@ -33,6 +33,9 @@ class GradientCompression(Defense):
         self.keep_ratio = keep_ratio
         self._round_global: WeightStore | None = None
         self._residuals: dict[int, np.ndarray] = {}
+        # Running total of the residuals' bytes (see
+        # import_client_state), so state_bytes() is O(1).
+        self._residual_bytes = 0
 
     def on_round_start(self, round_index, client_ids, template, rng) -> None:
         self._round_global = as_store(template, copy=True)
@@ -53,7 +56,7 @@ class GradientCompression(Defense):
         keep_idx = view.top_k_indices(flat, k)
         sparse = np.zeros_like(flat)
         sparse[keep_idx] = flat[keep_idx]
-        self._residuals[client_id] = flat - sparse
+        self.import_client_state(client_id, flat - sparse)
         return WeightStore(self._round_global.layout,
                            self._round_global.buffer + sparse)
 
@@ -64,10 +67,14 @@ class GradientCompression(Defense):
         return self._residuals.get(client_id)
 
     def import_client_state(self, client_id: int, state) -> None:
+        old = self._residuals.get(client_id)
+        if old is not None:
+            self._residual_bytes -= old.nbytes
         if state is None:
             self._residuals.pop(client_id, None)
         else:
             self._residuals[client_id] = state
+            self._residual_bytes += state.nbytes
 
     def export_round_state(self):
         if self._round_global is None:
@@ -87,7 +94,7 @@ class GradientCompression(Defense):
         return sparse_nbytes(weights, self._round_global)
 
     def state_bytes(self) -> int:
-        return sum(r.nbytes for r in self._residuals.values())
+        return self._residual_bytes
 
     def describe(self) -> str:
         return f"gc(keep={self.keep_ratio})"

@@ -16,8 +16,12 @@ import pytest
 from repro.data.partition import split_for_membership
 from repro.data.synthetic import synthetic_tabular
 from repro.fl.aggregation import (
+    DISTANCE_ROWS,
+    REDUCE_CHUNK,
     _cluster_distances,
+    _median_rows,
     _norm_cluster_keep,
+    _sorted_mean,
     clustered_mean,
 )
 from repro.fl.config import FLConfig
@@ -186,6 +190,69 @@ class TestNonFiniteRows:
     def test_all_nan_distances_keep_everyone(self):
         dist = np.full(5, np.nan)
         assert _norm_cluster_keep(dist).all()
+
+
+def _whole_chunk_distances(matrix, include=None):
+    """The distance pass as one ``(clients, REDUCE_CHUNK)`` difference
+    per column chunk: the expression the row-blocked pass replaced,
+    kept as its bitwise oracle."""
+    center = _sorted_mean(matrix, *_median_rows(len(matrix)))
+    exclude = None if include is None else ~include
+    sq = np.zeros(len(matrix))
+    for lo in range(0, matrix.shape[1], REDUCE_CHUNK):
+        hi = min(lo + REDUCE_CHUNK, matrix.shape[1])
+        diff = matrix[:, lo:hi] - center[lo:hi]
+        if exclude is not None:
+            np.copyto(diff, 0.0, where=exclude[lo:hi])
+        sq += np.einsum("ip,ip->i", diff, diff)
+    return np.sqrt(sq)
+
+
+class TestBlockedDistancePass:
+    """The row-blocked pass equals the whole-chunk oracle bitwise for
+    every cohort size, including ``n % DISTANCE_ROWS == 1`` (a lone
+    trailing row, which numpy's einsum would contract differently)."""
+
+    #: Two column chunks, the second one short.
+    NUM_COLS = REDUCE_CHUNK + 1001
+
+    @staticmethod
+    def _masks():
+        all_true = np.ones(TestBlockedDistancePass.NUM_COLS, dtype=bool)
+        # an obfuscated layer's segment, straddling the chunk boundary
+        obfuscated = all_true.copy()
+        obfuscated[REDUCE_CHUNK - 700:REDUCE_CHUNK + 300] = False
+        return {"none": None, "all_true": all_true,
+                "obfuscated": obfuscated}
+
+    def test_every_cohort_size_matches_the_oracle(self):
+        rng = np.random.default_rng(11)
+        assert any(n % DISTANCE_ROWS == 1 for n in range(2, 41))
+        masks = self._masks()
+        # rows on different scales, like byzantine vs honest ones
+        cohort = rng.standard_normal((40, self.NUM_COLS)) \
+            * rng.uniform(0.01, 5.0, size=(40, 1))
+        for n in range(1, 41):
+            matrix = cohort[:n]
+            for name, include in masks.items():
+                np.testing.assert_array_equal(
+                    _cluster_distances(matrix, include),
+                    _whole_chunk_distances(matrix, include),
+                    err_msg=f"{n} clients, mask {name}")
+
+    @pytest.mark.parametrize("n", [5, 9, 13])
+    @pytest.mark.parametrize("poison", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rows_match_the_oracle(self, n, poison):
+        rng = np.random.default_rng(n)
+        matrix = rng.standard_normal((n, self.NUM_COLS))
+        matrix[n - 1, 3] = poison              # the lone trailing row
+        matrix[1, REDUCE_CHUNK + 7] = poison   # a counted coordinate
+        matrix[2, REDUCE_CHUNK - 1] = poison   # masked when obfuscated
+        for name, include in self._masks().items():
+            np.testing.assert_array_equal(
+                _cluster_distances(matrix, include),
+                _whole_chunk_distances(matrix, include),
+                err_msg=f"{n} clients, mask {name}")
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,11 @@ from repro.data.partition import ClientShards, split_for_membership
 from repro.data.synthetic import synthetic_tabular
 from repro.fl.config import FLConfig
 from repro.fl.simulation import FederatedSimulation
-from repro.fl.virtual import PersonalWeightsRegistry, VirtualClientFleet
+from repro.fl.virtual import (
+    REGISTRY_BLOCK,
+    PersonalWeightsRegistry,
+    VirtualClientFleet,
+)
 from repro.models.fcnn import build_fcnn
 from repro.privacy.defenses.make import make_defense_for_config
 
@@ -252,6 +256,23 @@ def test_registry_growth_preserves_rows_and_order():
     assert registry.get(1234) is None
     assert 1234 not in registry
     assert 40 in registry
+
+
+def test_registry_rows_never_move_as_it_grows():
+    """Growth appends fixed-size blocks: a row view taken early keeps
+    viewing the live row, and memory grows one block at a time."""
+    layout = _layout()
+    registry = PersonalWeightsRegistry(layout)
+    registry.put(0, np.full(layout.num_params, 1.0))
+    early = registry.get(0).buffer
+    assert registry.nbytes == REGISTRY_BLOCK * layout.nbytes
+    for cid in range(1, 3 * REGISTRY_BLOCK + 1):
+        registry.put(cid, np.full(layout.num_params, float(cid)))
+    assert registry.nbytes == 4 * REGISTRY_BLOCK * layout.nbytes
+    registry.put(0, np.full(layout.num_params, -2.0))
+    assert np.all(early == -2.0)
+    for cid in range(1, 3 * REGISTRY_BLOCK + 1):
+        assert np.all(registry.get(cid).buffer == float(cid))
 
 
 def test_registry_rejects_wrong_size():

@@ -209,3 +209,39 @@ class TestRegistry:
     def test_step_without_gradients_fails(self):
         with pytest.raises(RuntimeError):
             SGD(_fresh_model(), 0.1).step()
+
+
+class TestAdagradUnfilledState:
+    """Adagrad allocates G unfilled and its first step writes ``g**2``
+    straight in; that must equal ``0 + g**2`` bitwise for every
+    gradient value, and ``reset`` must bring the first-step path back."""
+
+    GRADS = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-200, -3.5, 7.25,
+                      np.inf, -np.inf, np.nan, 1e160])
+
+    def _model(self, grads):
+        import types
+        params = np.linspace(-1.0, 1.0, len(grads))
+        return types.SimpleNamespace(
+            num_trainable_layers=1, grads_ready=True,
+            weights=types.SimpleNamespace(buffer=params),
+            grad_vector=grads)
+
+    def test_first_step_matches_zero_filled_rule(self):
+        grads = self.GRADS.copy()
+        model = self._model(grads)
+        expected = model.weights.buffer.copy()
+        reference = np.zeros_like(expected)
+        optimizer = Adagrad(model, 0.1)
+        with np.errstate(all="ignore"):
+            for _ in range(2):
+                optimizer.step()
+                reference += grads ** 2
+                expected -= 0.1 * grads / np.sqrt(reference + 1e-5)
+                assert optimizer.state["accum"].tobytes() \
+                    == reference.tobytes()
+                assert model.weights.buffer.tobytes() == expected.tobytes()
+            optimizer.reset()
+            optimizer.step()
+            squares = grads ** 2
+        assert optimizer.state["accum"].tobytes() == squares.tobytes()

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.core.dinar import DINAR
 from repro.nn.model import weights_allclose, weights_zip_map
+from repro.nn.store import WeightStore, as_store
+from repro.privacy.defenses.compression import GradientCompression
 from repro.privacy.defenses.secure_aggregation import SecureAggregation
 
 
@@ -76,3 +78,63 @@ def test_sa_masks_cancel_for_any_cohort(num_clients, seed, round_index):
         total = weights_zip_map(np.add, total, sent)
     # zero updates + masks: the sum must be exactly the zero structure
     assert weights_allclose(total, zeros, atol=1e-6)
+
+
+#: Random per-client state traffic: (op, client, other client).
+_STATE_OPS = st.lists(
+    st.tuples(st.sampled_from(["send", "import", "drop"]),
+              st.integers(0, 4), st.integers(0, 4)),
+    max_size=25)
+
+
+def _dinar_stored_bytes(defense) -> int:
+    return sum(v.nbytes for layers in defense._stored.values()
+               for layer in layers.values() for v in layer.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(_STATE_OPS, st.integers(0, 1000))
+def test_dinar_state_bytes_is_the_running_total(ops, seed):
+    """``state_bytes()`` is a running total; after any sequence of
+    uploads, imports (another client's state, a checkpoint-style
+    plain dict of another size, or None) it equals the recomputed
+    sum over every stored array."""
+    rng = np.random.default_rng(seed)
+    weights = _structure(rng, 3)
+    defense = DINAR(private_layer=1, extra_layers=(0,))
+    for op, client, other in ops:
+        if op == "send":
+            defense.on_send_update(client, weights, 10, rng)
+        elif op == "import":
+            state = defense.export_client_state(other)
+            if state is None:
+                state = {2: {"W": rng.standard_normal((other + 1, 2))}}
+            defense.import_client_state(client, state)
+        else:
+            defense.import_client_state(client, None)
+        assert defense.state_bytes() == _dinar_stored_bytes(defense)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_STATE_OPS, st.integers(0, 1000))
+def test_compression_state_bytes_is_the_running_total(ops, seed):
+    rng = np.random.default_rng(seed)
+    template = as_store(_structure(rng, 2))
+    defense = GradientCompression(keep_ratio=0.2)
+    defense.on_round_start(0, list(range(5)), template, rng)
+    for op, client, other in ops:
+        if op == "send":
+            update = WeightStore(
+                template.layout,
+                template.buffer + rng.standard_normal(template.num_params))
+            defense.on_send_update(client, update, 10, rng)
+        elif op == "import":
+            state = defense.export_client_state(other)
+            if state is None:  # a residual of another width
+                state = rng.standard_normal(template.num_params).astype(
+                    np.float32 if other % 2 else np.float64)
+            defense.import_client_state(client, state)
+        else:
+            defense.import_client_state(client, None)
+        assert defense.state_bytes() == sum(
+            r.nbytes for r in defense._residuals.values())
